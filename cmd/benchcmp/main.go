@@ -2,6 +2,13 @@
 // repository's JSON benchmark baseline (BENCH_engine.json) and prints a
 // per-benchmark delta table.
 //
+// Repeated runs (`-count=N`) are summarized per benchmark by their
+// median and their spread, the interquartile range (IQR) of the runs,
+// which one stray run cannot stretch. A ns/op delta is marked as noise
+// ("~") when the medians differ by no more than the larger of the two
+// IQRs: nothing separates the two captures. A baseline record without
+// quartiles is a single point (IQR 0).
+//
 // Timing columns are report-only by design: ns/op from shared CI
 // runners is too noisy to gate merges on, so the table in the build log
 // is read by a human. The allocation and byte columns, however, are
@@ -16,6 +23,8 @@
 //
 //	go test -bench . -benchmem -run '^$' ./internal/engine/ | benchcmp -baseline BENCH_engine.json
 //	benchcmp -baseline BENCH_engine.json -gate bench-output.txt
+//	benchcmp -emit old-count10.txt > old.json   # the run as a baseline
+//	benchcmp -baseline old.json new-count10.txt
 package main
 
 import (
@@ -24,7 +33,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -39,10 +50,24 @@ type baselineRecord struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Runs, NsQ1 and NsQ3 record a repeated capture: NsPerOp is then
+	// the median of Runs runs whose quartiles are NsQ1 and NsQ3. Zero
+	// for a single-run record.
+	Runs int     `json:"runs,omitempty"`
+	NsQ1 float64 `json:"ns_per_op_q1,omitempty"`
+	NsQ3 float64 `json:"ns_per_op_q3,omitempty"`
 	// Gate marks the record as merge-gating under -gate: its alloc and
 	// byte columns (never ns/op) must stay within gateTolerance of the
 	// baseline.
 	Gate bool `json:"gate,omitempty"`
+}
+
+// iqr is the record's ns/op interquartile range (0 for a single run).
+func (b *baselineRecord) iqr() float64 {
+	if b.Runs > 1 {
+		return b.NsQ3 - b.NsQ1
+	}
+	return 0
 }
 
 // Gate tolerance: the measured value may exceed the baseline by 50%
@@ -56,23 +81,18 @@ const (
 	gateBytesHeadroom  = 2048
 )
 
+// measurement is one result line, or the summary of a benchmark's
+// runs in baseline-record form; hasMem reports -benchmem columns.
 type measurement struct {
-	nsPerOp     float64
-	bytesPerOp  float64
-	allocsPerOp float64
-	hasMem      bool
+	baselineRecord
+	hasMem bool
 }
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_engine.json", "JSON benchmark baseline to compare against")
 	gate := flag.Bool("gate", false, "fail (exit 1) when a gated benchmark's allocs/op or B/op regress beyond tolerance")
+	emit := flag.Bool("emit", false, "print the run as a JSON baseline instead of comparing")
 	flag.Parse()
-
-	base, err := readBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
-	}
 
 	in := io.Reader(os.Stdin)
 	if flag.NArg() > 0 {
@@ -85,6 +105,20 @@ func main() {
 		in = f
 	}
 	current, err := parseBenchOutput(in)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcmp:", err)
+		os.Exit(1)
+	}
+	if *emit {
+		out, err := json.MarshalIndent(baseline{Benchmarks: records(current)}, "", "  ")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcmp:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("%s\n", out)
+		return
+	}
+	base, err := readBaseline(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(1)
@@ -120,13 +154,13 @@ func checkGates(base *baseline, current map[string]measurement) []string {
 			failures = append(failures, fmt.Sprintf("%s: gated benchmark ran without -benchmem", shorten(b.Name)))
 			continue
 		}
-		if limit := b.AllocsPerOp*gateRelTolerance + gateAllocsHeadroom; m.allocsPerOp > limit {
+		if limit := b.AllocsPerOp*gateRelTolerance + gateAllocsHeadroom; m.AllocsPerOp > limit {
 			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op exceeds gate %.0f (baseline %.0f)",
-				shorten(b.Name), m.allocsPerOp, limit, b.AllocsPerOp))
+				shorten(b.Name), m.AllocsPerOp, limit, b.AllocsPerOp))
 		}
-		if limit := b.BytesPerOp*gateRelTolerance + gateBytesHeadroom; m.bytesPerOp > limit {
+		if limit := b.BytesPerOp*gateRelTolerance + gateBytesHeadroom; m.BytesPerOp > limit {
 			failures = append(failures, fmt.Sprintf("%s: %.0f B/op exceeds gate %.0f (baseline %.0f)",
-				shorten(b.Name), m.bytesPerOp, limit, b.BytesPerOp))
+				shorten(b.Name), m.BytesPerOp, limit, b.BytesPerOp))
 		}
 	}
 	return failures
@@ -144,11 +178,37 @@ func readBaseline(path string) (*baseline, error) {
 	return &b, nil
 }
 
+// records turns summarized measurements into baseline records, sorted
+// by name. The -GOMAXPROCS suffix is dropped when every name carries
+// the same one; a lone sub-benchmark's "-<digits>" cannot be told apart
+// from it.
+func records(ms map[string]measurement) []baselineRecord {
+	suffix := ""
+	for name := range ms {
+		s := name[len(trimProcSuffix(name)):]
+		if s == "" || suffix != "" && s != suffix {
+			suffix = ""
+			break
+		}
+		suffix = s
+	}
+	out := make([]baselineRecord, 0, len(ms))
+	for name, m := range ms {
+		r := m.baselineRecord
+		r.Name = strings.TrimSuffix(name, suffix)
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // parseBenchOutput extracts measurements from standard `go test -bench`
-// output. Package headers ("pkg: ...") qualify subsequent benchmark
-// names, matching the fully-qualified names the baseline stores.
+// output, summarizing repeated lines of one benchmark (`-count=N`) by
+// their medians and ns/op quartiles. Package headers ("pkg: ...") qualify
+// subsequent benchmark names, matching the fully-qualified names the
+// baseline stores.
 func parseBenchOutput(r io.Reader) (map[string]measurement, error) {
-	out := make(map[string]measurement)
+	runs := make(map[string][]measurement)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	pkg := ""
@@ -179,18 +239,59 @@ func parseBenchOutput(r io.Reader) (map[string]measurement, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				m.nsPerOp, ok = v, true
+				m.NsPerOp, ok = v, true
 			case "B/op":
-				m.bytesPerOp, m.hasMem = v, true
+				m.BytesPerOp, m.hasMem = v, true
 			case "allocs/op":
-				m.allocsPerOp, m.hasMem = v, true
+				m.AllocsPerOp, m.hasMem = v, true
 			}
 		}
 		if ok {
-			out[name] = m
+			runs[name] = append(runs[name], m)
 		}
 	}
+	out := make(map[string]measurement, len(runs))
+	for name, ms := range runs {
+		out[name] = summarize(ms)
+	}
 	return out, sc.Err()
+}
+
+// summarize reduces one benchmark's runs to medians and, for repeated
+// runs, the ns/op quartiles. Memory columns count only when every run
+// reported them.
+func summarize(ms []measurement) measurement {
+	col := func(f func(measurement) float64) []float64 {
+		v := make([]float64, len(ms))
+		for i, m := range ms {
+			v[i] = f(m)
+		}
+		sort.Float64s(v)
+		return v
+	}
+	ns := col(func(m measurement) float64 { return m.NsPerOp })
+	s := measurement{hasMem: true}
+	s.NsPerOp = quantile(ns, 0.5)
+	s.BytesPerOp = quantile(col(func(m measurement) float64 { return m.BytesPerOp }), 0.5)
+	s.AllocsPerOp = quantile(col(func(m measurement) float64 { return m.AllocsPerOp }), 0.5)
+	if len(ms) > 1 {
+		s.Runs, s.NsQ1, s.NsQ3 = len(ms), quantile(ns, 0.25), quantile(ns, 0.75)
+	}
+	for _, m := range ms {
+		s.hasMem = s.hasMem && m.hasMem
+	}
+	return s
+}
+
+// quantile of sorted, non-empty values, interpolating linearly between
+// order statistics (q = 0.5 is the usual median).
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[i]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }
 
 // trimProcSuffix removes the -GOMAXPROCS suffix go test appends to
@@ -222,31 +323,48 @@ func lookup(current map[string]measurement, name string) (measurement, bool) {
 	return measurement{}, false
 }
 
+// row is the table layout: ns/op columns are medians, spread the new
+// run's IQR as ± half of it, relative to its median.
+const row = "%-62s %14s %14s %8s %10s %16s\n"
+
 func report(w io.Writer, base *baseline, current map[string]measurement) {
 	fmt.Fprintf(w, "benchcmp: comparing against baseline (%d reference benchmarks)\n", len(base.Benchmarks))
-	fmt.Fprintf(w, "%-62s %14s %14s %9s %16s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs old→new")
-	matched := 0
+	fmt.Fprintf(w, row, "benchmark", "old ns/op", "new ns/op", "spread", "delta", "allocs old→new")
+	matched, noise := 0, 0
 	for _, b := range base.Benchmarks {
 		m, ok := lookup(current, b.Name)
 		if !ok {
-			fmt.Fprintf(w, "%-62s %14s %14s %9s %16s\n", shorten(b.Name), fmtNs(b.NsPerOp), "-", "-", "not run")
+			fmt.Fprintf(w, row, shorten(b.Name), fmtNs(b.NsPerOp), "-", "-", "-", "not run")
 			continue
 		}
 		matched++
 		allocs := "n/a"
 		if m.hasMem {
-			allocs = fmt.Sprintf("%.0f→%.0f", b.AllocsPerOp, m.allocsPerOp)
+			allocs = fmt.Sprintf("%.0f→%.0f", b.AllocsPerOp, m.AllocsPerOp)
 		}
-		fmt.Fprintf(w, "%-62s %14s %14s %9s %16s\n",
-			shorten(b.Name), fmtNs(b.NsPerOp), fmtNs(m.nsPerOp), delta(b.NsPerOp, m.nsPerOp), allocs)
+		d := delta(b.NsPerOp, m.NsPerOp)
+		if (b.Runs > 1 || m.Runs > 1) && math.Abs(m.NsPerOp-b.NsPerOp) <= max(b.iqr(), m.iqr()) {
+			d = "~" + d
+			noise++
+		}
+		fmt.Fprintf(w, row, shorten(b.Name), fmtNs(b.NsPerOp), fmtNs(m.NsPerOp), spread(m), d, allocs)
 	}
-	for name := range current {
+	for name, m := range current {
 		if !inBaseline(base, name) {
-			fmt.Fprintf(w, "%-62s %14s %14s %9s %16s\n", shorten(name), "-", fmtNs(current[name].nsPerOp), "new", "")
+			fmt.Fprintf(w, row, shorten(name), "-", fmtNs(m.NsPerOp), spread(m), "new", "")
 		}
 	}
-	fmt.Fprintf(w, "benchcmp: %d/%d baseline benchmarks matched (timing report-only; alloc/byte gates enforced under -gate)\n",
-		matched, len(base.Benchmarks))
+	fmt.Fprintf(w, "benchcmp: %d/%d baseline benchmarks matched, %d ns/op deltas within the spread (~, noise); timing report-only, alloc/byte gates enforced under -gate\n",
+		matched, len(base.Benchmarks), noise)
+}
+
+// spread renders a repeated measurement's IQR as ±% of its median
+// ("n=1" for a single run).
+func spread(m measurement) string {
+	if m.Runs < 2 || m.NsPerOp == 0 {
+		return "n=1"
+	}
+	return fmt.Sprintf("±%.1f%%", m.iqr()/2/m.NsPerOp*100)
 }
 
 func inBaseline(base *baseline, name string) bool {

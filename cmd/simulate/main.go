@@ -106,7 +106,7 @@ func relErr(a, b float64) float64 {
 }
 
 // runScenario executes one of the engine's composed scenarios: policy
-// combinations that required the unified discrete-event core.
+// combinations that required the unified simulation core.
 func runScenario(cfg respeed.Config, name string, seed uint64, reps int) {
 	p := respeed.ParamsFor(cfg)
 	sc := respeed.Scenario{

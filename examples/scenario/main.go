@@ -1,5 +1,5 @@
 // scenario demonstrates the unified simulation engine: the four
-// fault-injection simulators share one discrete-event core whose
+// fault-injection simulators share one simulation core whose
 // policies — fault process, checkpoint tier, verification discipline —
 // compose freely. It runs two compositions the original siloed
 // simulators could not express:

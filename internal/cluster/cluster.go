@@ -3,7 +3,7 @@
 // own silent and fail-stop error processes. The paper treats "the
 // platform" as one machine with an aggregated speed and a single
 // aggregated error rate λ; this package simulates the node-level reality
-// on a discrete-event engine and lets the test suite verify the
+// and lets the test suite verify the
 // aggregation argument: N independent per-node Poisson error processes
 // of rate λ/N are statistically indistinguishable (at pattern
 // granularity) from one aggregate process of rate λ, because a pattern

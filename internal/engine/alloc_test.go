@@ -64,6 +64,24 @@ func TestReplicateScenarioAllocBudget(t *testing.T) {
 	}
 }
 
+// scenarioPerNodeAllocBudget bounds the same 50-run call on the
+// per-node two-level composition: the pooled per-node process reseeds
+// its streams in place, so nothing is allocated per run there either.
+const scenarioPerNodeAllocBudget = 64
+
+func TestReplicateScenarioPerNodeAllocBudget(t *testing.T) {
+	sc := perNodeBenchScenario()
+	run := func() {
+		if _, err := ReplicateScenario(sc, 1, 50, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs > scenarioPerNodeAllocBudget {
+		t.Errorf("per-node ReplicateScenario allocates %.0f times per call, budget %d", allocs, scenarioPerNodeAllocBudget)
+	}
+}
+
 // TestChunkFanOutAllocBudget bounds the executor fan-out machinery alone
 // (no simulation): the per-call cost of dispatching 64 no-op chunks.
 func TestChunkFanOutAllocBudget(t *testing.T) {

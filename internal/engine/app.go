@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 
 	"respeed/internal/ckpt"
@@ -109,20 +110,76 @@ type Report struct {
 
 // App drives a real state-carrying workload through the composed
 // policies: fault injection flips bits in real state, verification
-// compares digests against a clean replica, checkpoints store real
+// compares digests against a clean reference, checkpoints store real
 // bytes, recovery restores them.
 type App struct {
-	cfg      AppConfig
-	main     *Runner
+	cfg  AppConfig
+	main *Runner
+	// The clean reference is either a live replica stepped alongside
+	// main, or (witness.states non-nil, replica nil) a precomputed
+	// table of the replica's states.
 	replica  *Runner
+	witness  witnessTable
 	verifier *detect.Verifier
 	rec      Recorder
 	trace    *trace.Recorder
 	rep      Report
 
-	// corruptBuf is the scratch snapshot injectSDC corrupts, reused
-	// across injections (and across runs on the pooled scenario path).
+	// corruptBuf is the scratch snapshot injectSDC corrupts, and
+	// perNode the buffer finish copies per-node error counts into; both
+	// are reused across runs on the pooled scenario path.
 	corruptBuf []byte
+	perNode    []int
+}
+
+// witnessTable is the clean reference trajectory of a scenario
+// campaign: the replica's state after each of its steps, stored flat
+// with a fixed stride. The replica takes segs steps per pattern (the
+// partial-verification segments, or 1), and its trajectory depends
+// only on the initial state and the pattern sizes — every rollback
+// restores a checkpoint that verification proved equal to it — so one
+// table serves every replication of the campaign.
+type witnessTable struct {
+	states []byte
+	stride int
+	segs   int
+}
+
+// at returns the clean state after step seg (0-based) of pattern.
+func (w *witnessTable) at(pattern, seg int) []byte {
+	off := (pattern*w.segs + seg) * w.stride
+	return w.states[off : off+w.stride : off+w.stride]
+}
+
+// stepReference advances the live replica; with a witness table there
+// is nothing to step.
+func (x *App) stepReference(w float64) {
+	if x.replica != nil {
+		x.replica.advance(w)
+	}
+}
+
+// reference returns the clean state main must match after step seg of
+// pattern.
+func (x *App) reference(pattern, seg int) []byte {
+	if x.replica == nil {
+		return x.witness.at(pattern, seg)
+	}
+	return x.replica.state()
+}
+
+// rollback restores main, and the live replica if there is one, to a
+// checkpointed state.
+func (x *App) rollback(state []byte) error {
+	if err := x.main.restore(state); err != nil {
+		return fmt.Errorf("engine: restore main: %w", err)
+	}
+	if x.replica != nil {
+		if err := x.replica.restore(state); err != nil {
+			return fmt.Errorf("engine: restore replica: %w", err)
+		}
+	}
+	return nil
 }
 
 // NewApp validates the configuration and builds the executor.
@@ -234,12 +291,12 @@ func (x *App) Run() (Report, error) {
 			continue
 		}
 
-		// Advance BOTH the main workload and the clean replica by the
-		// same work; then possibly corrupt the main state. The replica
-		// is the verification reference — the "application-specific
-		// check" the paper abstracts as V.
+		// Advance BOTH the main workload and the clean reference by the
+		// same work; then possibly corrupt the main state. The reference
+		// is what verification compares against — the
+		// "application-specific check" the paper abstracts as V.
 		x.main.advance(w)
-		x.replica.advance(w)
+		x.stepReference(w)
 		if out.Silent {
 			if err := x.injectSDC(); err != nil {
 				return x.finish(), err
@@ -273,7 +330,7 @@ func (x *App) Run() (Report, error) {
 
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma})
 		x.rec.Advance(verifyDur, energy.Verify, sigma)
-		if !x.verifier.Verify(x.main.state(), x.replica.state()) {
+		if !x.verifier.Verify(x.main.state(), x.reference(pattern, 0)) {
 			x.rep.SilentDetected++
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "digest mismatch"})
 			resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)
@@ -323,8 +380,12 @@ func (x *App) finish() Report {
 	x.rep.FinalProgress = x.main.progress()
 	x.rep.StateDigest = x.verifier.Detector().Sum(x.main.state())
 	x.rep.CkptStats = x.cfg.Tier.Stats()
-	if pn, ok := x.cfg.Faults.(interface{ PerNodeErrors() []int }); ok {
-		x.rep.PerNodeErrors = pn.PerNodeErrors()
+	switch f := x.cfg.Faults.(type) {
+	case *PerNodeFaults:
+		x.perNode = append(x.perNode[:0], f.errors...)
+		x.rep.PerNodeErrors = x.perNode
+	case interface{ PerNodeErrors() []int }:
+		x.rep.PerNodeErrors = f.PerNodeErrors()
 	}
 	x.cfg.Obs.Counters.noteReport(x.rep)
 	return x.rep
@@ -359,15 +420,17 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 		return false, resume, nil
 	}
 
+	injected := false
 	for k := 1; k <= m; k++ {
 		x.main.advance(segWork)
-		x.replica.advance(segWork)
+		x.stepReference(segWork)
 		if node, hit := x.cfg.Faults.SampleSilent(segDur); hit {
 			if err := x.injectSDC(); err != nil {
 				return false, 0, err
 			}
 			x.rep.SilentInjected++
 			x.cfg.Faults.NoteSilent(node)
+			injected = true
 		}
 		x.rec.Advance(segDur, energy.Compute, sigma)
 
@@ -376,7 +439,7 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 			x.rec.Advance(partialDur, energy.Verify, sigma)
 			x.rep.PartialChecks++
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma, Detail: "partial"})
-			if !x.cfg.Sampled.Verify(x.main.state(), x.replica.state()) {
+			if !x.cfg.Sampled.Verify(x.main.state(), x.reference(pattern, k-1)) {
 				x.rep.PartialDetections++
 				x.rep.SilentDetected++
 				x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "partial"})
@@ -395,7 +458,7 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 	// Guaranteed verification before the checkpoint.
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma})
 	x.rec.Advance(verifyDur, energy.Verify, sigma)
-	if !x.verifier.Verify(x.main.state(), x.replica.state()) {
+	if !x.verifier.Verify(x.main.state(), x.reference(pattern, m-1)) {
 		x.rep.SilentDetected++
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "digest mismatch"})
 		resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)
@@ -404,6 +467,13 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 		}
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Recovery, Pattern: pattern, Attempt: attempt})
 		return false, resume, nil
+	}
+	if injected && !bytes.Equal(x.main.state(), x.reference(pattern, m-1)) {
+		// As in Run: a flip that survives the guaranteed verification
+		// would be committed silently. Unlike Run, later segments can
+		// absorb a flip (a low bit of an accumulator lost to rounding);
+		// the state is then clean and commits normally.
+		return false, 0, fmt.Errorf("engine: injected SDC escaped verification (pattern %d)", pattern)
 	}
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyOK, Pattern: pattern, Attempt: attempt})
 

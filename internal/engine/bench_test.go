@@ -70,14 +70,8 @@ func BenchmarkAppRun(b *testing.B) {
 // the partial+fail-stop composition.
 func BenchmarkScenario(b *testing.B) {
 	build := map[string]func() Scenario{
-		"aggregate": testScenario,
-		"cluster-twolevel": func() Scenario {
-			sc := testScenario()
-			sc.Costs.LambdaS = 0
-			sc.Nodes = UniformNodes(4, 2e-3, 5e-4)
-			sc.TwoLevel = &TwoLevelSpec{MemC: 1.5, DiskC: 6, DiskR: 12, Every: 3}
-			return sc
-		},
+		"aggregate":        testScenario,
+		"cluster-twolevel": perNodeBenchScenario,
 		"partial-failstop": func() Scenario {
 			sc := testScenario()
 			sc.Costs.LambdaF = 5e-4
@@ -97,23 +91,43 @@ func BenchmarkScenario(b *testing.B) {
 	}
 }
 
-func BenchmarkReplicateScenario(b *testing.B) {
+// perNodeBenchScenario is the cluster-twolevel composition: per-node
+// fault processes under the memory+disk tier.
+func perNodeBenchScenario() Scenario {
 	sc := testScenario()
-	// Warm the shared executor and scenario scratch pool (alloc-gated in
-	// CI smoke mode; see BenchmarkReplicatePatternParallel).
-	if _, err := ReplicateScenario(sc, 1, 50, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateScenario(sc, uint64(i+1), 50, 0); err != nil {
-			b.Fatal(err)
-		}
+	sc.Costs.LambdaS = 0
+	sc.Nodes = UniformNodes(4, 2e-3, 5e-4)
+	sc.TwoLevel = &TwoLevelSpec{MemC: 1.5, DiskC: 6, DiskR: 12, Every: 3}
+	return sc
+}
+
+// BenchmarkReplicateScenario measures 50-run pooled scenario
+// replications: the aggregate composition and the per-node two-level
+// one. Both rows are alloc-gated.
+func BenchmarkReplicateScenario(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+	}{{"aggregate", testScenario()}, {"per-node", perNodeBenchScenario()}} {
+		b.Run(c.name, func(b *testing.B) {
+			// Warm the shared executor and scenario scratch pool
+			// (alloc-gated in CI smoke mode; see
+			// BenchmarkReplicatePatternParallel).
+			if _, err := ReplicateScenario(c.sc, 1, 50, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReplicateScenario(c.sc, uint64(i+1), 50, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkPerNodeFaults measures the discrete-event per-node sampling
-// path as node count grows.
+// BenchmarkPerNodeFaults measures the per-node sampling path (one
+// direct scan per window) as node count grows.
 func BenchmarkPerNodeFaults(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(fmt.Sprintf("nodes-%d", n), func(b *testing.B) {

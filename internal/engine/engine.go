@@ -1,11 +1,11 @@
-// Package engine is the unified discrete-event simulation core behind
-// every fault-injection simulator in this repository. It decomposes a
+// Package engine is the unified simulation core behind every
+// fault-injection simulator in this repository. It decomposes a
 // resilient execution into orthogonal, composable policies:
 //
 //   - FaultProcess samples when errors strike: a single aggregate
 //     platform process (AggregateFaults, the paper's model) or N
-//     independent per-node Poisson processes resolved on a discrete
-//     event engine (PerNodeFaults, package des).
+//     independent per-node Poisson processes resolved by a direct scan
+//     for each window's earliest arrivals (PerNodeFaults).
 //   - Tier decides where checkpoints go and what a rollback costs:
 //     SingleLevel (one verified store, the paper's C/R) or TwoLevel
 //     (memory + disk via package ckpt, with disk rollbacks that lose

@@ -3,8 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
-	"respeed/internal/des"
 	"respeed/internal/faults"
 	"respeed/internal/rngx"
 )
@@ -141,17 +142,27 @@ func ValidateNodes(nodes []Node) error {
 	return nil
 }
 
-// PerNodeFaults models N independent per-node Poisson error processes,
-// resolved on a discrete-event engine: every node's next silent and
-// fail-stop arrivals are scheduled as events and the earliest fail-stop
-// preempts the attempt. Each node consumes its own deterministic
-// substream, so results are independent of node-iteration internals.
+// PerNodeFaults models N independent per-node Poisson error processes.
+// Each window draws every node's next fail-stop and silent arrival and
+// keeps the earliest of each kind; the earliest fail-stop preempts the
+// attempt. Each node consumes its own deterministic substream, so
+// results are independent of node-iteration internals.
 type PerNodeFaults struct {
-	nodes   []Node
-	rngs    []*rngx.Stream
-	engine  des.Engine
-	corrupt *faults.Injector
-	errors  []int
+	nodes []Node
+	rngs  []rngx.Stream
+	// suffixes caches the "/node-<i>" stream-name suffixes so pooled
+	// resets derive the node streams without building strings.
+	suffixes []string
+	// failAt and silentAt hold one window's per-node draws (+Inf where
+	// a node draws nothing).
+	failAt, silentAt []float64
+	// clock is the fault process's own time: it follows the caller's
+	// clock forward and ends every window at start+span, even when a
+	// fail-stop ends the attempt earlier.
+	clock      float64
+	corruptRNG rngx.Stream
+	corrupt    faults.Injector
+	errors     []int
 }
 
 // NewPerNodeFaults builds the per-node process. Node i draws from the
@@ -161,18 +172,44 @@ func NewPerNodeFaults(nodes []Node, seed uint64, prefix string) (*PerNodeFaults,
 	if err := ValidateNodes(nodes); err != nil {
 		return nil, err
 	}
-	f := &PerNodeFaults{
-		nodes:  nodes,
-		rngs:   make([]*rngx.Stream, len(nodes)),
-		errors: make([]int, len(nodes)),
-	}
-	for i := range nodes {
-		f.rngs[i] = rngx.NewStream(seed, fmt.Sprintf("%s/node-%d", prefix, i))
+	f := &PerNodeFaults{}
+	f.init(nodes)
+	for i := range f.rngs {
+		f.rngs[i].Reseed(seed, prefix+"/node-"+strconv.Itoa(i))
 	}
 	// State corruption draws from a dedicated stream so enabling a
 	// real workload does not perturb the per-node arrival processes.
-	f.corrupt = faults.New(0, 0, rngx.NewStream(seed, prefix+"/corrupt"))
+	f.corruptRNG.Reseed(seed, prefix+"/corrupt")
 	return f, nil
+}
+
+// resetIndexed re-derives the process in place as
+// NewPerNodeFaults(nodes, seed, prefix+decimal(run)) would, without
+// allocating once its buffers have grown to the node count. nodes must
+// already be validated.
+func (f *PerNodeFaults) resetIndexed(nodes []Node, seed uint64, prefix string, run int) {
+	f.init(nodes)
+	for i := len(f.suffixes); i < len(nodes); i++ {
+		f.suffixes = append(f.suffixes, "/node-"+strconv.Itoa(i))
+	}
+	for i := range f.rngs {
+		f.rngs[i].ReseedIndexedSuffix(seed, prefix, run, f.suffixes[i])
+	}
+	f.corruptRNG.ReseedIndexedSuffix(seed, prefix, run, "/corrupt")
+}
+
+// init sizes the per-node buffers (reusing their capacity) and zeroes
+// the clock and error counts; the caller seeds the streams.
+func (f *PerNodeFaults) init(nodes []Node) {
+	n := len(nodes)
+	f.nodes = nodes
+	f.rngs = slices.Grow(f.rngs[:0], n)[:n]
+	f.failAt = slices.Grow(f.failAt[:0], n)[:n]
+	f.silentAt = slices.Grow(f.silentAt[:0], n)[:n]
+	f.errors = slices.Grow(f.errors[:0], n)[:n]
+	clear(f.errors)
+	f.clock = 0
+	f.corrupt.Reset(0, 0, &f.corruptRNG)
 }
 
 // PerNodeErrors returns a copy of the per-node error counts.
@@ -180,74 +217,80 @@ func (f *PerNodeFaults) PerNodeErrors() []int {
 	return append([]int(nil), f.errors...)
 }
 
-// SampleWindow implements FaultProcess: it synchronizes the event
-// engine with the wall clock, schedules every node's next arrivals and
-// runs the engine over the window.
+// SampleWindow implements FaultProcess: it draws every node's next
+// fail-stop (within span) and silent arrival (within silentSpan, which
+// must not exceed span) and resolves the window.
 func (f *PerNodeFaults) SampleWindow(now, span, silentSpan float64) Outcome {
-	if f.engine.Now() < now {
-		f.engine.RunUntil(now)
-	}
-	out := Outcome{FailStopAt: math.Inf(1), FailNode: -1, SilentNode: -1}
-	start := f.engine.Now()
 	for i, node := range f.nodes {
-		i, node := i, node
+		f.failAt[i], f.silentAt[i] = math.Inf(1), math.Inf(1)
 		if node.FailStopRate > 0 {
-			if d := f.rngs[i].Exp(node.FailStopRate); d < span {
-				f.engine.Schedule(d, func(e *des.Engine) {
-					at := e.Now() - start
-					if at < out.FailStopAt {
-						out.FailStopAt = at
-						out.FailNode = i
-					}
-				})
-			}
+			f.failAt[i] = f.rngs[i].Exp(node.FailStopRate)
 		}
 		if node.SilentRate > 0 {
-			if d := f.rngs[i].Exp(node.SilentRate); d < silentSpan {
-				f.engine.Schedule(d, func(e *des.Engine) {
-					// Record the first silent strike; whether it matters
-					// is resolved below (a fail-stop anywhere in the
-					// window preempts the attempt regardless).
-					if !out.Silent {
-						out.Silent = true
-						out.SilentNode = i
-					}
-				})
-			}
+			f.silentAt[i] = f.rngs[i].Exp(node.SilentRate)
 		}
 	}
-	f.engine.RunUntil(start + span)
-	out.FailStop = out.FailStopAt < span
-	if out.FailStop {
-		out.Silent = false
-		out.SilentNode = -1
-	}
+	var out Outcome
+	out, f.clock = resolveWindow(f.clock, now, span, silentSpan, f.failAt, f.silentAt)
 	return out
 }
 
-// SampleFailStop implements FaultProcess: a window pass over the
-// fail-stop processes only.
+// SampleFailStop implements FaultProcess: a window over the fail-stop
+// processes only.
 func (f *PerNodeFaults) SampleFailStop(now, span float64) (float64, int, bool) {
-	if f.engine.Now() < now {
-		f.engine.RunUntil(now)
-	}
-	at, node := math.Inf(1), -1
-	start := f.engine.Now()
-	for i, n := range f.nodes {
-		i, n := i, n
-		if n.FailStopRate > 0 {
-			if d := f.rngs[i].Exp(n.FailStopRate); d < span {
-				f.engine.Schedule(d, func(e *des.Engine) {
-					if off := e.Now() - start; off < at {
-						at = off
-						node = i
-					}
-				})
-			}
+	for i, node := range f.nodes {
+		f.failAt[i] = math.Inf(1)
+		if node.FailStopRate > 0 {
+			f.failAt[i] = f.rngs[i].Exp(node.FailStopRate)
 		}
 	}
-	f.engine.RunUntil(start + span)
-	return at, node, at < span
+	var out Outcome
+	out, f.clock = resolveWindow(f.clock, now, span, 0, f.failAt, nil)
+	return out.FailStopAt, out.FailNode, out.FailStop
+}
+
+// resolveWindow decides one attempt window from the per-node arrival
+// delays failAt[i] and silentAt[i] (+Inf for none; silentAt may be nil)
+// and returns the outcome with the fault clock after the window.
+//
+// The rule is that of a time-ordered event queue drained over the
+// window, which the seed-pinned cluster goldens were recorded with. The
+// window starts at start = max(clock, now); an arrival counts when its
+// delay is below its span; arrivals fire in order of their rounded
+// absolute time start+d, equal times in scheduling order (node index; a
+// node's fail-stop before its silent error); the first fail-stop and
+// the first silent error to fire win; and the fail-stop offset is
+// measured back from the absolute time, (start+d)−start, which need not
+// equal d. The clock ends at start+span whatever the outcome.
+func resolveWindow(clock, now, span, silentSpan float64, failAt, silentAt []float64) (Outcome, float64) {
+	start := clock
+	if start < now {
+		start = now
+	}
+	out := Outcome{FailStopAt: math.Inf(1), FailNode: -1, SilentNode: -1}
+	failT, silentT := math.Inf(1), math.Inf(1)
+	for i, d := range failAt {
+		// Scanning in node order with a strict comparison keeps the
+		// lowest index among equal absolute times.
+		if d < span && start+d < failT {
+			failT, out.FailNode = start+d, i
+		}
+	}
+	for i, d := range silentAt {
+		if d < silentSpan && start+d < silentT {
+			silentT, out.SilentNode = start+d, i
+		}
+	}
+	if out.FailNode >= 0 {
+		out.FailStopAt = failT - start
+	}
+	out.FailStop = out.FailStopAt < span
+	if out.FailStop {
+		out.SilentNode = -1
+	} else {
+		out.Silent = out.SilentNode >= 0
+	}
+	return out, start + span
 }
 
 // SampleSilent implements FaultProcess: the earliest per-node silent

@@ -35,8 +35,7 @@ type Scenario struct {
 	// set it must be a whole multiple of Plan.W.
 	TotalWork float64
 	// Nodes, when non-empty, replaces the aggregate fault process with
-	// independent per-node Poisson processes on the discrete-event
-	// engine.
+	// independent per-node Poisson processes (PerNodeFaults).
 	Nodes []Node
 	// Faults, when non-nil, replaces both built-in fault constructions
 	// with a custom process factory (e.g. renewal channels over Weibull

@@ -25,19 +25,28 @@ import (
 
 // scenarioCampaign is the per-call shared context of a pooled scenario
 // replication: the validated scenario (trace hooks already cleared),
-// its precomputed pattern sizes, and a pristine prototype workload with
-// its serialized initial state. All fields are read-only once built and
-// shared across worker goroutines.
+// its precomputed pattern sizes, a pristine prototype workload with its
+// serialized initial state, and the clean witness table. All fields are
+// read-only once built and shared across worker goroutines.
 type scenarioCampaign struct {
 	sc    Scenario
 	sizes []float64
 
-	// proto is one never-advanced product of sc.NewWorkload; runs clone
-	// it instead of re-invoking the factory (the factory contract is a
-	// deterministic fresh construction, so the clones are identical).
+	// proto is one product of sc.NewWorkload, back at its initial state
+	// after stepping the witness table; runs clone it instead of
+	// re-invoking the factory (the factory contract is a deterministic
+	// fresh construction, so the clones are identical).
 	proto     *Runner
 	initState []byte
+
+	// witness replaces every run's live replica; empty (nil states)
+	// keeps the replica (see buildWitness).
+	witness witnessTable
 }
+
+// witnessMemoCap bounds one campaign's witness table in bytes. Larger
+// trajectories (long runs of big kernels) keep the live replica.
+const witnessMemoCap = 1 << 20
 
 // newScenarioCampaign builds the shared context. sc must already be
 // validated, with Trace and Obs.TraceSink cleared.
@@ -46,12 +55,56 @@ func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("engine: nil workload")
 	}
-	return &scenarioCampaign{
+	c := &scenarioCampaign{
 		sc:        sc,
 		sizes:     sc.patternSizes(),
 		proto:     proto,
 		initState: append([]byte(nil), proto.state()...),
-	}, nil
+	}
+	c.witness = c.buildWitness()
+	// Rewind the prototype: restoring a snapshot is exactly what App
+	// relies on for its own rollbacks.
+	if err := proto.restore(c.initState); err != nil {
+		return nil, fmt.Errorf("engine: rewind workload: %w", err)
+	}
+	return c, nil
+}
+
+// buildWitness steps the prototype through the campaign's pattern sizes
+// exactly as App steps its replica — one step per pattern, or
+// Partial.Segments steps of w/m — and records the state after every
+// step. It returns an empty table, leaving runs on the live replica,
+// under SkipVerification (which re-syncs the replica to corrupted
+// state), when the table would exceed witnessMemoCap, or when the
+// workload's snapshot size is not fixed.
+func (c *scenarioCampaign) buildWitness() witnessTable {
+	if c.sc.SkipVerification {
+		return witnessTable{}
+	}
+	segs := 1
+	if c.sc.Partial != nil {
+		segs = c.sc.Partial.Segments
+	}
+	stride := len(c.initState)
+	if stride == 0 || len(c.sizes)*segs > witnessMemoCap/stride {
+		return witnessTable{}
+	}
+	states := make([]byte, 0, len(c.sizes)*segs*stride)
+	for _, w := range c.sizes {
+		step := w
+		if segs > 1 {
+			step = w / float64(segs)
+		}
+		for k := 0; k < segs; k++ {
+			c.proto.advance(step)
+			st := c.proto.state()
+			if len(st) != stride {
+				return witnessTable{}
+			}
+			states = append(states, st...)
+		}
+	}
+	return witnessTable{states: states, stride: stride, segs: segs}
 }
 
 // scenarioScratch is the pooled per-chunk working set of scenario
@@ -63,6 +116,7 @@ type scenarioScratch struct {
 	sampledRNG rngx.Stream
 	inj        faults.Injector
 	agg        AggregateFaults
+	perNode    PerNodeFaults
 	meter      energy.Meter
 	rec        MeterRecorder
 	verifier   detect.Verifier
@@ -104,14 +158,15 @@ func (s *scenarioScratch) prepare(c *scenarioCampaign) {
 }
 
 // runOnce executes replication i of the campaign, bit-identically to
-// sc.runSized(seed, "scenario/<i>", sizes) on a fresh App.
+// sc.runSized(seed, "scenario/<i>", sizes) on a fresh App. The report's
+// PerNodeErrors is scratch-owned: valid until the next runOnce.
 func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Report, error) {
 	sc := &c.sc
 
 	// Fault process and partial-verification position stream, under the
-	// historical stream names. The aggregate path derives both with the
-	// no-materialize indexed-suffix hash; the factory and per-node paths
-	// need the prefix string itself.
+	// historical stream names. The aggregate and per-node paths derive
+	// them with the no-materialize indexed-suffix hash; the factory path
+	// needs the prefix string itself.
 	var fp FaultProcess
 	var sampledSrc interface{ Intn(int) int }
 	switch {
@@ -127,14 +182,10 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 			sampledSrc = &s.sampledRNG
 		}
 	case len(sc.Nodes) > 0:
-		prefix := "scenario/" + strconv.Itoa(i)
-		pn, err := NewPerNodeFaults(sc.Nodes, seed, prefix)
-		if err != nil {
-			return Report{}, err
-		}
-		fp = pn
+		s.perNode.resetIndexed(sc.Nodes, seed, "scenario/", i)
+		fp = &s.perNode
 		if sc.Partial != nil {
-			s.sampledRNG.Reseed(seed, prefix+"/partial-positions")
+			s.sampledRNG.ReseedIndexedSuffix(seed, "scenario/", i, "/partial-positions")
 			sampledSrc = &s.sampledRNG
 		}
 	default:
@@ -172,14 +223,17 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 	if err := s.main.restore(c.initState); err != nil {
 		return Report{}, fmt.Errorf("engine: reset workload: %w", err)
 	}
-	if err := s.replica.restore(c.initState); err != nil {
+	replica := s.replica
+	if c.witness.states != nil {
+		replica = nil
+	} else if err := replica.restore(c.initState); err != nil {
 		return Report{}, fmt.Errorf("engine: reset replica: %w", err)
 	}
 
 	// Assemble the App by assignment — the configuration is the one
 	// NewApp would build, already validated at the campaign level — but
-	// keep the corruption scratch buffer across runs.
-	corruptBuf := s.app.corruptBuf
+	// keep the corruption and per-node scratch buffers across runs.
+	corruptBuf, perNode := s.app.corruptBuf, s.app.perNode
 	s.app = App{
 		cfg: AppConfig{
 			Plan:             sc.Plan,
@@ -195,10 +249,12 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 			Sampled:          sampled,
 		},
 		main:       s.main,
-		replica:    s.replica,
+		replica:    replica,
+		witness:    c.witness,
 		verifier:   &s.verifier,
 		rec:        &s.rec,
 		corruptBuf: corruptBuf,
+		perNode:    perNode,
 	}
 	return s.app.Run()
 }

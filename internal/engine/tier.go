@@ -83,7 +83,7 @@ func (t *SingleLevel) Commit(x *App, pattern, attempt int) error {
 	return nil
 }
 
-// recover restores both workload copies from the store, then bills R —
+// recover rolls the app back to the store's snapshot, then bills R —
 // the historical ExecSim order. The view is read-only and consumed
 // before the store can invalidate it: restore copies the bytes out.
 func (t *SingleLevel) recover(x *App) error {
@@ -91,11 +91,8 @@ func (t *SingleLevel) recover(x *App) error {
 	if err != nil {
 		return fmt.Errorf("engine: recover: %w", err)
 	}
-	if err := x.main.restore(state); err != nil {
-		return fmt.Errorf("engine: restore main: %w", err)
-	}
-	if err := x.replica.restore(state); err != nil {
-		return fmt.Errorf("engine: restore replica: %w", err)
+	if err := x.rollback(state); err != nil {
+		return err
 	}
 	x.rec.Advance(t.r, energy.Recovery, 0)
 	return nil
@@ -183,8 +180,8 @@ func (t *TwoLevel) commitTo(x *App, store *ckpt.Store, pattern int) error {
 	return err
 }
 
-// restoreFrom rolls both workload copies back to a store's snapshot
-// and returns the pattern index the snapshot belongs to.
+// restoreFrom rolls the app back to a store's snapshot and returns the
+// pattern index the snapshot belongs to.
 func (t *TwoLevel) restoreFrom(x *App, store *ckpt.Store) (int, error) {
 	snap, err := store.Latest()
 	if err != nil {
@@ -194,10 +191,7 @@ func (t *TwoLevel) restoreFrom(x *App, store *ckpt.Store) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := x.main.restore(state); err != nil {
-		return 0, err
-	}
-	if err := x.replica.restore(state); err != nil {
+	if err := x.rollback(state); err != nil {
 		return 0, err
 	}
 	return snap.Pattern, nil

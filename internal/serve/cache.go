@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"compress/lzw"
 	"container/list"
+	"fmt"
+	"io"
 	"sync"
 )
 
@@ -16,6 +20,57 @@ type response struct {
 	// under heavy-lane saturation: it is not the canonical result for
 	// its key and must never be memoized.
 	volatile bool
+	// size, when non-zero, marks body as compressed: size is the
+	// length of the answer it decompresses back to (see packed).
+	size int
+}
+
+// Heavy (Monte-Carlo) answers are keyed by their seed, so most are
+// never read again, yet each pins its body in the cache until evicted.
+// The cache keeps them LZW-compressed: about 25 µs against
+// milliseconds of compute, for about a third less memory per entry.
+// LZW rather than deflate because a pooled deflate writer holds about
+// a megabyte of tables, more than the cache saves; an LZW writer holds
+// 64 KiB. Express answers stay verbatim; there the codec would cost as
+// much as the answer.
+var (
+	lzwWriters = sync.Pool{New: func() any { return lzw.NewWriter(nil, lzw.LSB, 8) }}
+	lzwReaders = sync.Pool{New: func() any { return lzw.NewReader(nil, lzw.LSB, 8) }}
+)
+
+// packed returns the answer as the cache stores a heavy answer:
+// compressed when that is smaller, verbatim otherwise.
+func (r response) packed() response {
+	var buf bytes.Buffer
+	w := lzwWriters.Get().(*lzw.Writer)
+	w.Reset(&buf, lzw.LSB, 8)
+	_, err := w.Write(r.body)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	lzwWriters.Put(w)
+	if err != nil || buf.Len() >= len(r.body) {
+		return r
+	}
+	r.size = len(r.body)
+	r.body = append(make([]byte, 0, buf.Len()), buf.Bytes()...)
+	return r
+}
+
+// unpacked restores the exact bytes of a packed answer.
+func (r response) unpacked() (response, error) {
+	if r.size == 0 {
+		return r, nil
+	}
+	rd := lzwReaders.Get().(*lzw.Reader)
+	defer lzwReaders.Put(rd)
+	rd.Reset(bytes.NewReader(r.body), lzw.LSB, 8)
+	body := make([]byte, r.size)
+	if _, err := io.ReadFull(rd, body); err != nil {
+		return response{}, fmt.Errorf("serve: decompress cached answer: %w", err)
+	}
+	r.body, r.size = body, 0
+	return r, nil
 }
 
 // lru is a concurrency-safe fixed-capacity LRU map from canonical

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -70,4 +71,27 @@ func TestLRUConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPackedRoundTrip pins the heavy-answer storage form: a packed
+// answer is smaller and decompresses back to the exact bytes; an
+// answer compression cannot shrink is stored verbatim.
+func TestPackedRoundTrip(t *testing.T) {
+	body := bytes.Repeat([]byte(`{"Mean":5536.895452186056,"StdErr":230.08573368844034},`), 30)
+	r := response{status: 200, body: body}
+	p := r.packed()
+	if p.size != len(body) || len(p.body) >= len(body) {
+		t.Fatalf("packed %d bytes into %d (size %d)", len(body), len(p.body), p.size)
+	}
+	u, err := p.unpacked()
+	if err != nil || !bytes.Equal(u.body, body) || u.status != 200 || u.size != 0 {
+		t.Fatalf("round trip: err %v, status %d, equal %v", err, u.status, bytes.Equal(u.body, body))
+	}
+	tiny := response{status: 200, body: []byte("{}")}
+	if p := tiny.packed(); p.size != 0 || !bytes.Equal(p.body, tiny.body) {
+		t.Errorf("incompressible answer was packed: %+v", p)
+	}
+	if _, err := (response{body: []byte{0xff, 0xff, 0xff, 0xff}, size: 40}).unpacked(); err == nil {
+		t.Error("corrupt packed answer decompressed without error")
+	}
 }

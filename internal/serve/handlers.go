@@ -250,9 +250,12 @@ func (s *Server) serveGatedMethod(w http.ResponseWriter, r *http.Request, endpoi
 		return
 	}
 	if resp, ok := s.cache.get(key); ok {
-		reply(w, resp)
-		s.observe(endpoint, time.Since(start), true, resp.status)
-		return
+		// A packed entry that fails to decompress is recomputed below.
+		if resp, err := resp.unpacked(); err == nil {
+			reply(w, resp)
+			s.observe(endpoint, time.Since(start), true, resp.status)
+			return
+		}
 	}
 	// Admission: the policy sheds excess arrivals at the door, before
 	// any compute is spent. Cache hits above bypass it — they are free,
@@ -312,7 +315,11 @@ func (s *Server) serveGatedMethod(w http.ResponseWriter, r *http.Request, endpoi
 			// Memoize before the flight is torn down, so a request
 			// arriving between flight removal and cache fill is
 			// impossible.
-			s.cache.put(key, resp)
+			stored := resp
+			if heavy {
+				stored = resp.packed()
+			}
+			s.cache.put(key, stored)
 		}
 		return resp, err
 	}

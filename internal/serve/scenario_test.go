@@ -104,3 +104,22 @@ func TestSimulateScenarioValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioCacheHitReplaysExactBytes repeats a scenario request: the
+// second answer comes from the cache, where heavy answers are stored
+// compressed, and must be byte-identical to the first.
+func TestScenarioCacheHitReplaysExactBytes(t *testing.T) {
+	s, ts := newTestServer(t, serve.Options{})
+	const q = "/v1/simulate?config=Hera%2FXScale&rho=3&scenario=cluster-twolevel&n=8&seed=77"
+	status, first := get(t, ts.URL, q)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, first)
+	}
+	status, second := get(t, ts.URL, q)
+	if status != http.StatusOK || !bytes.Equal(first, second) {
+		t.Fatalf("cached answer differs (status %d):\n%s\n%s", status, first, second)
+	}
+	if ep := s.Metrics().Endpoints["/v1/simulate"]; ep.CacheHits != 1 {
+		t.Errorf("cache hits = %d, want 1", ep.CacheHits)
+	}
+}

@@ -5,7 +5,7 @@
 //
 // Since the engine unification, this package is a thin façade over
 // internal/engine: the simulators here are configurations of the shared
-// discrete-event core, preserved for API stability. New compositions
+// simulation core, preserved for API stability. New compositions
 // (per-node faults + two-level checkpointing, partial verification +
 // fail-stop, ...) are expressed directly as engine.Scenario values.
 //

@@ -469,7 +469,7 @@ func RunTwoLevel(cfg TwoLevelConfig, w Workload, seed uint64) (TwoLevelReport, e
 // fault process (aggregate rates or per-node processes), a checkpoint
 // tier (single-level or memory+disk) and a verification discipline
 // (guaranteed, partial+guaranteed, or none) runs through the one
-// discrete-event core — including combinations the original siloed
+// simulation core — including combinations the original siloed
 // simulators could not express, e.g. a multi-node cluster under
 // two-level checkpointing, or partial verification with fail-stop
 // errors. Leave Scenario.NewWorkload nil and pass a workload factory to
