@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -114,6 +115,12 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("SSE read: %v", err)
+	}
+	// The server ends the stream after the terminal event; EOF comes
+	// only once the handler has returned, and so once it has metered
+	// the stream, which the /metrics check below relies on.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("SSE drain: %v", err)
 	}
 	if last.State != jobs.StateDone || last.ShardsDone != 64 {
 		t.Fatalf("terminal event: %+v (after %d events)", last, events)

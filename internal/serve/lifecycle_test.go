@@ -103,6 +103,9 @@ func TestIdenticalConcurrentSolvesComputeOnce(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			// Read to EOF: the body ends only once the handler has
+			// returned, and so once it has metered the request.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			statuses[i] = resp.StatusCode
 		}(i)
