@@ -147,9 +147,9 @@ func BenchmarkPatternTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkExecSimHeat measures full-stack execution throughput without
+// BenchmarkRunWorkloadHeat measures full-stack execution throughput without
 // tracing.
-func BenchmarkExecSimHeat(b *testing.B) {
+func BenchmarkRunWorkloadHeat(b *testing.B) {
 	cfg, _ := respeed.ConfigByName("Hera/XScale")
 	p := respeed.ParamsFor(cfg)
 	b.ResetTimer()

@@ -52,6 +52,9 @@ func TestReplicatePatternParallelAllocBudget(t *testing.T) {
 const scenarioAllocBudget = 64
 
 func TestReplicateScenarioAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the pin runs in non-race builds")
+	}
 	sc := testScenario()
 	run := func() {
 		if _, err := ReplicateScenario(sc, 1, 50, 0); err != nil {
@@ -70,6 +73,9 @@ func TestReplicateScenarioAllocBudget(t *testing.T) {
 const scenarioPerNodeAllocBudget = 64
 
 func TestReplicateScenarioPerNodeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the pin runs in non-race builds")
+	}
 	sc := perNodeBenchScenario()
 	run := func() {
 		if _, err := ReplicateScenario(sc, 1, 50, 0); err != nil {

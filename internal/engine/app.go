@@ -71,8 +71,8 @@ type AppConfig struct {
 	Sampled *detect.SampledVerifier
 }
 
-// Report is the unified outcome of a full-stack execution. Wrappers
-// project it onto the legacy ExecReport/TwoLevelReport shapes.
+// Report is the unified outcome of a full-stack execution.
+// TwoLevelConfig.Run projects it onto TwoLevelReport.
 type Report struct {
 	// Makespan is the total wall-clock seconds; Energy the total mW·s.
 	Makespan, Energy float64

@@ -18,18 +18,18 @@
 //
 // Two executors drive these policies. PatternEngine replays the
 // abstract renewal process of one pattern (durations and energies only,
-// no application state) — the statistical workhorse behind PatternSim
-// and the cluster simulator. App drives a real state-carrying workload
-// through the full protocol — fault injection flips bits in real state,
-// verification compares digests against a clean replica, checkpoints
-// store real bytes — backing ExecSim, TwoLevelSim, and composed
-// Scenarios (multi-node + two-level, partial verification + fail-stop)
-// that the four original siloed simulators could not express.
+// no application state) — the statistical workhorse of the Monte-Carlo
+// validation, on the aggregate or the per-node fault process. App
+// drives a real state-carrying workload through the full protocol —
+// fault injection flips bits in real state, verification compares
+// digests against a clean replica, checkpoints store real bytes —
+// behind every Scenario (Run, RunStream, the replication paths) and
+// TwoLevelConfig.Run, including compositions such as multi-node +
+// two-level or partial verification + fail-stop.
 //
 // Every executor is deterministic given its seed material and preserves
-// the legacy simulators' exact float-operation and RNG-draw order, so
-// the sim and cluster wrappers reproduce their historical reports
-// bit-for-bit (see the golden tests in those packages).
+// the float-operation and RNG-draw order of the pre-engine simulators,
+// so their historical reports reproduce bit-for-bit (golden_test.go).
 package engine
 
 import (
@@ -99,8 +99,8 @@ type Estimate struct {
 
 // PatternSizes splits totalWork into pattern sizes of at most w work
 // units each, with the last pattern possibly short. The subtraction
-// loop reproduces ExecSim's historical remaining-work arithmetic so the
-// size sequence is bit-identical to the pre-engine simulator.
+// loop keeps the pre-engine remaining-work arithmetic, so the size
+// sequence is bit-identical to the historical one.
 func PatternSizes(totalWork, w float64) []float64 {
 	var sizes []float64
 	for remaining := totalWork; remaining > 1e-9; {

@@ -1,13 +1,13 @@
 // Unit tests for the unified engine: size layout, scenario validation,
 // determinism, worker-count independence, and the composed scenarios
 // the siloed simulators could not express. The bit-exact equivalence
-// with the legacy simulators lives in the golden tests of
-// internal/sim and internal/cluster.
+// with the pre-engine simulators lives in golden_test.go.
 package engine
 
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -247,13 +247,17 @@ func TestScenarioDigestInvariant(t *testing.T) {
 
 // TestReplicateWorkers pins the pool-size clamps.
 func TestReplicateWorkers(t *testing.T) {
-	if got := ReplicateWorkers(5, 64); got != 5 {
-		t.Errorf("ReplicateWorkers(5, 64) = %d", got)
+	cases := []struct{ workers, chunks, want int }{
+		{5, 64, 5},                              // fewer workers than chunks: untouched
+		{100, 64, 64},                           // many workers, fewer chunks: clamp to chunks
+		{64, 64, 64},                            // exact fit
+		{1000, 1, 1},                            // n=1 degenerates to a single worker
+		{0, 64, min(64, runtime.GOMAXPROCS(0))}, // default is GOMAXPROCS
+		{0, 3, min(3, runtime.GOMAXPROCS(0))},   // ... still clamped
 	}
-	if got := ReplicateWorkers(100, 64); got != 64 {
-		t.Errorf("ReplicateWorkers(100, 64) = %d, want clamped to chunks", got)
-	}
-	if got := ReplicateWorkers(0, 64); got < 1 {
-		t.Errorf("ReplicateWorkers(0, 64) = %d, want ≥ 1", got)
+	for _, c := range cases {
+		if got := ReplicateWorkers(c.workers, c.chunks); got != c.want {
+			t.Errorf("ReplicateWorkers(%d, %d) = %d, want %d", c.workers, c.chunks, got, c.want)
+		}
 	}
 }

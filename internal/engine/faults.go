@@ -26,8 +26,8 @@ type Outcome struct {
 }
 
 // FaultProcess samples when errors strike an execution. Implementations
-// must be deterministic in their seed material; each preserves the RNG
-// draw order of the legacy simulator it replaces.
+// must be deterministic in their seed material; each keeps the RNG draw
+// order of its pre-engine implementation, which the goldens pin.
 type FaultProcess interface {
 	// SampleWindow samples one standard attempt window: a fail-stop
 	// anywhere in span seconds starting at now, and a silent error
@@ -166,8 +166,8 @@ type PerNodeFaults struct {
 }
 
 // NewPerNodeFaults builds the per-node process. Node i draws from the
-// substream (seed, "<prefix>/node-<i>"); prefix "cluster" reproduces
-// the historical cluster simulator streams.
+// substream (seed, "<prefix>/node-<i>"): node-level pattern runs use
+// prefix "cluster", scenario runs their own run prefix.
 func NewPerNodeFaults(nodes []Node, seed uint64, prefix string) (*PerNodeFaults, error) {
 	if err := ValidateNodes(nodes); err != nil {
 		return nil, err

@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"bytes"
@@ -10,15 +10,14 @@ import (
 	"respeed/internal/energy"
 	"respeed/internal/rngx"
 	"respeed/internal/trace"
-	"respeed/internal/workload"
 )
 
 // Golden equivalence tests: every value below was pinned against the
-// pre-engine simulators at fixed seeds. The engine refactor must
-// reproduce each report bit-for-bit — makespans and energies are
-// compared via Float64bits, traces via an FNV-64a hash of the JSONL
-// encoding, so even a single reordered float operation or RNG draw
-// shows up as a failure.
+// pre-engine simulators at fixed seeds. The engine must reproduce each
+// report bit-for-bit — makespans and energies are compared via
+// Float64bits, traces via an FNV-64a hash of the JSONL encoding, so
+// even a single reordered float operation or RNG draw shows up as a
+// failure.
 
 func wantBits(t *testing.T, name string, got float64, want string) {
 	t.Helper()
@@ -44,19 +43,12 @@ func traceHash(t *testing.T, rec *trace.Recorder) uint64 {
 	return uint64(detect.FNV64{}.Sum(buf.Bytes()))
 }
 
-// TestGoldenExec pins a full ExecSim run with both silent and
+// TestGoldenExec pins a full single-level run with both silent and
 // fail-stop errors, tracing, checkpoint stats, and energy breakdown.
 func TestGoldenExec(t *testing.T) {
-	cfg := execConfig(2e-3, 1e-3)
-	cfg.Trace = trace.New(0)
-	e, err := NewExecSim(cfg, heatRunner(), rngx.NewStream(100, "golden-exec"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := execScenario(2e-3, 1e-3)
+	sc.Trace = trace.New(0)
+	rep := runExec(t, sc, 100, "golden-exec")
 	wantBits(t, "makespan", rep.Makespan, "0x40baefee430d6e35")
 	wantBits(t, "energy", rep.Energy, "0x412c4e5783155bc3")
 	wantBits(t, "breakdown.compute", rep.EnergyBreakdown.Compute, "0x411c4cc89fc45120")
@@ -72,26 +64,19 @@ func TestGoldenExec(t *testing.T) {
 	wantInt(t, "ckpt.recoveries", rep.CkptStats.Recoveries, 7)
 	wantInt(t, "ckpt.bytesWritten", int(rep.CkptStats.BytesWritten), 22704)
 	wantInt(t, "ckpt.bytesRead", int(rep.CkptStats.BytesRead), 14448)
-	wantInt(t, "trace.len", cfg.Trace.Len(), 97)
-	if got := traceHash(t, cfg.Trace); got != 0x6f159d315cdaccf0 {
+	wantInt(t, "trace.len", sc.Trace.Len(), 97)
+	if got := traceHash(t, sc.Trace); got != 0x6f159d315cdaccf0 {
 		t.Errorf("traceHash: got 0x%016x", got)
 	}
 }
 
-// TestGoldenPartial pins ExecSim with partial verifications plus a
+// TestGoldenPartial pins a run with partial verifications plus a
 // fail-stop process — sampled-check counts and detections included.
 func TestGoldenPartial(t *testing.T) {
-	cfg := execConfig(3e-3, 5e-4)
-	cfg.Partial = &PartialExec{Segments: 4, Coverage: 0.7, Cost: 2}
-	cfg.Trace = trace.New(0)
-	e, err := NewExecSim(cfg, heatRunner(), rngx.NewStream(101, "golden-partial"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := execScenario(3e-3, 5e-4)
+	sc.Partial = &Partial{Segments: 4, Coverage: 0.7, Cost: 2}
+	sc.Trace = trace.New(0)
+	rep := runExec(t, sc, 101, "golden-partial")
 	wantBits(t, "makespan", rep.Makespan, "0x40ba79ab66c9c6f6")
 	wantBits(t, "energy", rep.Energy, "0x412c43e394a48f75")
 	wantInt(t, "patterns", rep.Patterns, 10)
@@ -104,8 +89,8 @@ func TestGoldenPartial(t *testing.T) {
 	if got := uint64(rep.StateDigest); got != 0x619331bc6e2290d7 {
 		t.Errorf("digest: got 0x%016x", got)
 	}
-	wantInt(t, "trace.len", cfg.Trace.Len(), 172)
-	if got := traceHash(t, cfg.Trace); got != 0x5c1f060f2aacefb7 {
+	wantInt(t, "trace.len", sc.Trace.Len(), 172)
+	if got := traceHash(t, sc.Trace); got != 0x5c1f060f2aacefb7 {
 		t.Errorf("traceHash: got 0x%016x", got)
 	}
 }
@@ -113,16 +98,9 @@ func TestGoldenPartial(t *testing.T) {
 // TestGoldenSkipVerification pins the blind-checkpoint path where an
 // undetected SDC survives into the final digest.
 func TestGoldenSkipVerification(t *testing.T) {
-	cfg := execConfig(2e-3, 0)
-	cfg.SkipVerification = true
-	e, err := NewExecSim(cfg, heatRunner(), rngx.NewStream(102, "golden-skip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := execScenario(2e-3, 0)
+	sc.SkipVerification = true
+	rep := runExec(t, sc, 102, "golden-skip")
 	wantBits(t, "makespan", rep.Makespan, "0x40b09a0000000000")
 	wantBits(t, "energy", rep.Energy, "0x4118170800000000")
 	wantInt(t, "patterns", rep.Patterns, 10)
@@ -134,15 +112,11 @@ func TestGoldenSkipVerification(t *testing.T) {
 	}
 }
 
-// TestGoldenTwoLevel pins a TwoLevelSim run with memory and disk
+// TestGoldenTwoLevel pins a two-level run with memory and disk
 // recoveries, frontier re-execution, and pattern-loss accounting.
 func TestGoldenTwoLevel(t *testing.T) {
 	cfg := twoLevelConfig(1.5e-3, 2e-3, 4)
-	s, err := NewTwoLevelSim(cfg, twoLevelRunner(), rngx.NewStream(103, "golden-twolevel"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run()
+	rep, err := cfg.Run(twoLevelRunner(), rngx.NewStream(103, "golden-twolevel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +143,7 @@ func TestGoldenPattern(t *testing.T) {
 
 	costs := Costs{C: 6, V: 15.4, R: 30, LambdaS: 2.57e-4, LambdaF: 5e-5}
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
-	est, err := Replicate(plan, costs, model, rngx.NewStream(104, "golden-pattern"), 500)
+	est, err := replicateAggregate(plan, costs, model, rngx.NewStream(104, "golden-pattern"), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +157,7 @@ func TestGoldenPattern(t *testing.T) {
 	rec := trace.New(0)
 	tracePlan := Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8}
 	traceCosts := Costs{C: 6, V: 15.4, R: 30, LambdaS: 2e-3, LambdaF: 1e-3}
-	s, err := NewPatternSim(tracePlan, traceCosts, model, rngx.NewStream(105, "golden-pattern-trace"), rec)
+	s, err := aggregatePattern(tracePlan, traceCosts, model, rngx.NewStream(105, "golden-pattern-trace"), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +175,14 @@ func TestGoldenPattern(t *testing.T) {
 	}
 }
 
-// TestGoldenParallel pins ReplicateParallel's deterministic-in-(seed,n)
-// chunked fan-out: the worker count must not change the result.
+// TestGoldenParallel pins ReplicatePatternParallel's
+// deterministic-in-(seed,n) chunked fan-out: the worker count must not
+// change the result.
 func TestGoldenParallel(t *testing.T) {
 	costs := Costs{C: 6, V: 15.4, R: 30, LambdaS: 2.57e-3, LambdaF: 0}
 	model := energy.Model{Kappa: 1550, Pidle: 60, Pio: 5.23}
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
-	est, err := ReplicateParallel(plan, costs, model, 106, 700, 3)
+	est, err := ReplicatePatternParallel(plan, costs, model, 106, 700, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,36 +192,31 @@ func TestGoldenParallel(t *testing.T) {
 	wantBits(t, "meanAttempts", est.MeanAttempts, "0x40bafe3b9c869536")
 }
 
-// TestGoldenReplicateTwoLevel pins the per-replicate makespans behind
-// ReplicateTwoLevel's "twolevel/%d" streams. The individual runs are
-// the equivalence surface; the aggregate is checked against the same
-// runs with a small relative tolerance so the estimator may switch
-// from a plain sum to Welford without invalidating the golden.
-func TestGoldenReplicateTwoLevel(t *testing.T) {
-	cfg := twoLevelConfig(5e-4, 2e-3, 4)
-	mk := func() *Runner { return FromWorkload(workload.NewStream(9, 8)) }
-
-	const n = 40
-	var sum float64
-	for i := 0; i < n; i++ {
-		s, err := NewTwoLevelSim(cfg, mk(), rngx.NewStream(107, fmt.Sprintf("twolevel/%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += rep.Makespan
+// TestGoldenClusterPattern pins the node-level pattern engine (per-node
+// fault sampling on the "cluster" streams, combined compute+verify
+// billing, per-node error attribution).
+func TestGoldenClusterPattern(t *testing.T) {
+	nodes, _ := heraCluster(4, 150)
+	nodes = UniformNodes(4, nodes[0].SilentRate*4, 2e-5)
+	s, fp := clusterPattern(t, nodes, 200)
+	var patterns, attempts, silent, failstops int
+	for i := 0; i < 300; i++ {
+		r := s.RunPattern()
+		patterns++
+		attempts += r.Attempts
+		silent += r.SilentErrors
+		failstops += r.FailStopErrors
 	}
-	wantBits(t, "sumMean", sum/n, "0x40c46b0b49ef531f")
-
-	est, err := ReplicateTwoLevel(cfg, mk, 107, n)
-	if err != nil {
-		t.Fatal(err)
+	wantBits(t, "clock", s.Clock(), "0x41605c8b69f60017")
+	wantBits(t, "energy", s.Energy(), "0x41f46254e9a5201d")
+	if patterns != 300 || attempts != 2089 || silent != 1620 || failstops != 169 {
+		t.Errorf("counters: patterns %d attempts %d silent %d failstops %d", patterns, attempts, silent, failstops)
 	}
-	mean := est.Time.Mean
-	if rel := math.Abs(mean-sum/n) / (sum / n); rel > 1e-12 {
-		t.Errorf("aggregate mean: got %v, want %v (rel err %g)", mean, sum/n, rel)
+	wantPerNode := []int{463, 444, 445, 437}
+	perNode := fp.PerNodeErrors()
+	for i, w := range wantPerNode {
+		if perNode[i] != w {
+			t.Errorf("perNode[%d]: got %d, want %d", i, perNode[i], w)
+		}
 	}
 }

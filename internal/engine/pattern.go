@@ -24,9 +24,9 @@ type PatternConfig struct {
 	// trace sink); the zero value disables them.
 	Obs Options
 	// CombineVerify bills compute+verify as a single Compute segment —
-	// the platform-level billing the cluster simulator historically
-	// used. When false, compute and verify are billed (and traced)
-	// separately.
+	// the platform-level billing of the node-level (per-node faults)
+	// pattern runs. When false, compute and verify are billed (and
+	// traced) separately.
 	CombineVerify bool
 }
 

@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"math"
@@ -11,8 +11,12 @@ import (
 	"respeed/internal/trace"
 )
 
-// heraModel returns Hera/XScale parameters in the sim's vocabulary, with
-// the error rate scaled up by errBoost so effects are visible with
+// Pattern-engine tests on the paper's aggregate model: sampled means
+// against the closed forms of Propositions 2–3, the Section 5
+// recursion and Theorem 2, plus sequential and parallel replication.
+
+// heraSetup returns Hera/XScale parameters in the engine's vocabulary,
+// with the error rate scaled up by errBoost so effects are visible with
 // moderate replication counts.
 func heraSetup(errBoost float64) (Costs, energy.Model, core.Params) {
 	cfg, _ := platform.ByName("Hera/XScale")
@@ -23,11 +27,34 @@ func heraSetup(errBoost float64) (Costs, energy.Model, core.Params) {
 	return costs, model, p
 }
 
+// aggregatePattern builds the pattern engine of the aggregate model:
+// one platform-wide fault process on rng, energy billed as a plain
+// running sum. rec may be nil.
+func aggregatePattern(plan Plan, costs Costs, model energy.Model, rng *rngx.Stream, rec *trace.Recorder) (*PatternEngine, error) {
+	return NewPatternEngine(PatternConfig{
+		Plan:     plan,
+		Costs:    costs,
+		Faults:   NewAggregateFaults(costs.LambdaS, costs.LambdaF, rng),
+		Recorder: NewSumRecorder(model),
+		Trace:    rec,
+	})
+}
+
+// replicateAggregate runs n patterns of the aggregate model one after
+// another on rng and aggregates them.
+func replicateAggregate(plan Plan, costs Costs, model energy.Model, rng *rngx.Stream, n int) (Estimate, error) {
+	p, err := aggregatePattern(plan, costs, model, rng, nil)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return ReplicatePattern(p, plan.W, n)
+}
+
 func TestNoErrorsDeterministic(t *testing.T) {
-	costs, model, p := heraSetup(1)
+	costs, model, _ := heraSetup(1)
 	costs.LambdaS = 0
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
-	s, err := NewPatternSim(plan, costs, model, rngx.NewStream(1, "noerr"), nil)
+	s, err := aggregatePattern(plan, costs, model, rngx.NewStream(1, "noerr"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +71,6 @@ func TestNoErrorsDeterministic(t *testing.T) {
 	if r.Attempts != 1 || r.SilentErrors != 0 {
 		t.Errorf("unexpected errors: %+v", r)
 	}
-	_ = p
 }
 
 // TestMonteCarloMatchesProposition2And3 is the central validation: the
@@ -60,7 +86,7 @@ func TestMonteCarloMatchesProposition2And3(t *testing.T) {
 		{W: 1000, Sigma1: 1, Sigma2: 0.4},
 	} {
 		costs.LambdaS = p.Lambda
-		est, err := Replicate(plan, costs, model, rngx.NewStream(99, "mc"), n)
+		est, err := replicateAggregate(plan, costs, model, rngx.NewStream(99, "mc"), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +109,7 @@ func TestMonteCarloMatchesProposition2And3(t *testing.T) {
 // Proposition 4/5 transcription difference in favour of the recursion.
 func TestMonteCarloMatchesCombinedRecursion(t *testing.T) {
 	costs, model, p := heraSetup(100)
-	p100 := p
-	cp := p100.Split(0.4) // 40% fail-stop, 60% silent
+	cp := p.Split(0.4) // 40% fail-stop, 60% silent
 	costs.LambdaS = cp.LambdaS
 	costs.LambdaF = cp.LambdaF
 	const n = 40000
@@ -93,7 +118,7 @@ func TestMonteCarloMatchesCombinedRecursion(t *testing.T) {
 		{W: 2764, Sigma1: 0.4, Sigma2: 0.8},
 		{W: 5000, Sigma1: 0.8, Sigma2: 0.6},
 	} {
-		est, err := Replicate(plan, costs, model, rngx.NewStream(7, "mc-combined"), n)
+		est, err := replicateAggregate(plan, costs, model, rngx.NewStream(7, "mc-combined"), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +157,7 @@ func TestFailStopOnlyMatchesExact(t *testing.T) {
 		{W: 3000, Sigma1: 0.5, Sigma2: 1.0}, // the Theorem 2 regime: σ2 = 2σ1
 		{W: 3000, Sigma1: 0.8, Sigma2: 0.8},
 	} {
-		est, err := Replicate(plan, costs, model, rngx.NewStream(3, "mc-failstop"), n)
+		est, err := replicateAggregate(plan, costs, model, rngx.NewStream(3, "mc-failstop"), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,18 +172,18 @@ func TestFailStopOnlyMatchesExact(t *testing.T) {
 func TestReplicateDeterministic(t *testing.T) {
 	costs, model, _ := heraSetup(100)
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
-	a, err := Replicate(plan, costs, model, rngx.NewStream(5, "det"), 2000)
+	a, err := replicateAggregate(plan, costs, model, rngx.NewStream(5, "det"), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replicate(plan, costs, model, rngx.NewStream(5, "det"), 2000)
+	b, err := replicateAggregate(plan, costs, model, rngx.NewStream(5, "det"), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Time.Mean != b.Time.Mean || a.Energy.Mean != b.Energy.Mean {
 		t.Error("same seed produced different estimates")
 	}
-	c, err := Replicate(plan, costs, model, rngx.NewStream(6, "det"), 2000)
+	c, err := replicateAggregate(plan, costs, model, rngx.NewStream(6, "det"), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +199,7 @@ func TestReExecutionUsesSecondSpeed(t *testing.T) {
 	costs.LambdaS = 1e-3
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 1.0}
 	rec := trace.New(0)
-	s, err := NewPatternSim(plan, costs, model, rngx.NewStream(11, "reexec"), rec)
+	s, err := aggregatePattern(plan, costs, model, rngx.NewStream(11, "reexec"), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +226,17 @@ func TestReExecutionUsesSecondSpeed(t *testing.T) {
 	}
 }
 
-func TestPatternSimRejectsBadInputs(t *testing.T) {
+func TestPatternEngineRejectsBadInputs(t *testing.T) {
 	costs, model, _ := heraSetup(1)
-	if _, err := NewPatternSim(Plan{W: 0, Sigma1: 1, Sigma2: 1}, costs, model, rngx.NewStream(1, "x"), nil); err == nil {
+	if _, err := aggregatePattern(Plan{W: 0, Sigma1: 1, Sigma2: 1}, costs, model, rngx.NewStream(1, "x"), nil); err == nil {
 		t.Error("zero W should be rejected")
 	}
 	bad := costs
 	bad.C = -1
-	if _, err := NewPatternSim(Plan{W: 1, Sigma1: 1, Sigma2: 1}, bad, model, rngx.NewStream(1, "x"), nil); err == nil {
+	if _, err := aggregatePattern(Plan{W: 1, Sigma1: 1, Sigma2: 1}, bad, model, rngx.NewStream(1, "x"), nil); err == nil {
 		t.Error("negative C should be rejected")
 	}
-	if _, err := Replicate(Plan{W: 1, Sigma1: 1, Sigma2: 1}, costs, model, rngx.NewStream(1, "x"), 0); err == nil {
+	if _, err := replicateAggregate(Plan{W: 1, Sigma1: 1, Sigma2: 1}, costs, model, rngx.NewStream(1, "x"), 0); err == nil {
 		t.Error("zero replication count should be rejected")
 	}
 }
@@ -223,12 +248,121 @@ func TestMeanAttemptsMatchesTheory(t *testing.T) {
 	costs, model, _ := heraSetup(1)
 	costs.LambdaS = 2e-4
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.4}
-	est, err := Replicate(plan, costs, model, rngx.NewStream(13, "attempts"), 60000)
+	est, err := replicateAggregate(plan, costs, model, rngx.NewStream(13, "attempts"), 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Exp(costs.LambdaS * plan.W / plan.Sigma1)
 	if math.Abs(est.MeanAttempts-want) > 0.03*want {
 		t.Errorf("mean attempts %g, want ≈ %g", est.MeanAttempts, want)
+	}
+}
+
+func TestReplicateParallelMatchesAnalytic(t *testing.T) {
+	costs, model, p := heraSetup(100)
+	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
+	est, err := ReplicatePatternParallel(plan, costs, model, 42, 40000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.ExpectedTime(plan.W, plan.Sigma1, plan.Sigma2)
+	if d := math.Abs(est.Time.Mean - want); d > 4*est.Time.StdErr {
+		t.Errorf("parallel mean %g vs analytic %g (Δ=%g, 4se=%g)",
+			est.Time.Mean, want, d, 4*est.Time.StdErr)
+	}
+	if est.Patterns != 40000 {
+		t.Errorf("patterns %d", est.Patterns)
+	}
+}
+
+func TestReplicateParallelDeterministicAcrossWorkers(t *testing.T) {
+	costs, model, _ := heraSetup(100)
+	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
+	run := func(workers int) Estimate {
+		est, err := ReplicatePatternParallel(plan, costs, model, 7, 5000, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	one := run(1)
+	many := run(16)
+	if one.Time.Mean != many.Time.Mean || one.Energy.Mean != many.Energy.Mean {
+		t.Errorf("worker count changed the estimate: %v vs %v", one.Time.Mean, many.Time.Mean)
+	}
+	if one.MeanAttempts != many.MeanAttempts {
+		t.Errorf("attempts differ: %g vs %g", one.MeanAttempts, many.MeanAttempts)
+	}
+}
+
+func TestReplicateParallelSeedSensitivity(t *testing.T) {
+	costs, model, _ := heraSetup(100)
+	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
+	a, err := ReplicatePatternParallel(plan, costs, model, 1, 2000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReplicatePatternParallel(plan, costs, model, 2, 2000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Time.Mean == b.Time.Mean {
+		t.Error("different seeds gave identical estimates")
+	}
+}
+
+func TestReplicateParallelManyWorkersSmallN(t *testing.T) {
+	// Regression: n < replicateChunks with a huge worker request must not
+	// spawn idle goroutines, and the estimate must stay identical to a
+	// single-worker run (determinism is independent of the pool size).
+	costs, model, _ := heraSetup(1)
+	plan := Plan{W: 100, Sigma1: 1, Sigma2: 1}
+	const n = 7 // < replicateChunks
+	one, err := ReplicatePatternParallel(plan, costs, model, 13, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := ReplicatePatternParallel(plan, costs, model, 13, n, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != many {
+		t.Errorf("worker count changed the estimate:\n  1 worker:    %+v\n  4096 workers: %+v", one, many)
+	}
+	if many.Patterns != n || many.Time.N != n {
+		t.Errorf("bookkeeping: %+v", many)
+	}
+}
+
+func TestReplicateParallelSmallN(t *testing.T) {
+	costs, model, _ := heraSetup(1)
+	plan := Plan{W: 100, Sigma1: 1, Sigma2: 1}
+	est, err := ReplicatePatternParallel(plan, costs, model, 3, 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Patterns != 5 || est.Time.N != 5 {
+		t.Errorf("small-n bookkeeping: %+v", est)
+	}
+	if _, err := ReplicatePatternParallel(plan, costs, model, 3, 0, 8); err == nil {
+		t.Error("n=0 should be rejected")
+	}
+}
+
+func TestReplicateParallelAgreesWithSequential(t *testing.T) {
+	// Different substreams, same distribution: means must agree within
+	// combined confidence intervals.
+	costs, model, _ := heraSetup(100)
+	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.4}
+	seq, err := replicateAggregate(plan, costs, model, rngx.NewStream(11, "seq"), 30000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ReplicatePatternParallel(plan, costs, model, 11, 30000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(seq.Time.Mean - par.Time.Mean); d > 4*(seq.Time.StdErr+par.Time.StdErr) {
+		t.Errorf("sequential %g vs parallel %g differ beyond noise", seq.Time.Mean, par.Time.Mean)
 	}
 }

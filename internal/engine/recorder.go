@@ -3,10 +3,9 @@ package engine
 import "respeed/internal/energy"
 
 // Recorder advances simulated time and bills the energy of every
-// segment. Implementations differ only in how they accumulate: the two
-// variants preserve the exact float-summation order of the legacy
-// simulators they back, which is what keeps refactored reports
-// bit-identical.
+// segment. Implementations differ only in how they accumulate, and each
+// keeps the exact float-summation order of the executions it bills,
+// which is what keeps reports bit-identical across refactors.
 type Recorder interface {
 	// Advance moves the clock by dur seconds spent in act at speed
 	// sigma (sigma is ignored for I/O and idle activity).
@@ -18,7 +17,7 @@ type Recorder interface {
 }
 
 // SumRecorder accumulates energy with a plain running sum — the
-// billing used by PatternSim, TwoLevelSim and the cluster simulator.
+// billing of PatternEngine runs and of TwoLevelConfig.Run.
 type SumRecorder struct {
 	model  energy.Model
 	clock  float64
@@ -50,8 +49,8 @@ func (r *SumRecorder) Clock() float64 { return r.clock }
 func (r *SumRecorder) Energy() float64 { return r.joules }
 
 // MeterRecorder bills energy on an energy.Meter (compensated
-// summation with a per-activity breakdown) — the billing used by
-// ExecSim and composed scenarios.
+// summation with a per-activity breakdown) — the billing of every
+// Scenario run.
 type MeterRecorder struct {
 	meter *energy.Meter
 	clock float64

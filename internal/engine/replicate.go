@@ -10,8 +10,8 @@ import (
 )
 
 // estimator accumulates pattern results into Welford summaries, with
-// per-work normalization against w. The accumulation order matches the
-// historical sim.Replicate loop exactly.
+// per-work normalization against w. The accumulation order matches
+// ReplicatePattern's sequential loop exactly.
 type estimator struct {
 	w                float64
 	tw, ew, tpw, epw stats.Welford

@@ -145,42 +145,67 @@ func (sc Scenario) patternSizes() []float64 {
 	return PatternSizes(sc.TotalWork, sc.Plan.W)
 }
 
+// RunStream executes the scenario once with its aggregate fault process
+// drawn from stream, for callers that name their own fault streams;
+// partial-check windows draw from stream.Child("partial-positions").
+// Run(seed) is RunStream(rngx.NewStream(seed, "scenario/exec")). The
+// scenario must use the aggregate rates: Nodes and Faults derive their
+// streams from a seed and are rejected here.
+func (sc Scenario) RunStream(stream *rngx.Stream) (Report, error) {
+	if err := sc.Validate(); err != nil {
+		return Report{}, err
+	}
+	if len(sc.Nodes) > 0 || sc.Faults != nil {
+		return Report{}, fmt.Errorf("engine: RunStream needs the aggregate fault process (no Nodes or Faults)")
+	}
+	return sc.runAggregate(stream, nil, NewMeterRecorder(sc.Model))
+}
+
 // runSized is run with an optional precomputed pattern-size sequence
 // (nil recomputes it). App never mutates the slice, so concurrent runs
 // may share one.
 func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report, error) {
+	rec := NewMeterRecorder(sc.Model)
 	var fp FaultProcess
-	var sampledRNG interface{ Intn(int) int }
-	if sc.Faults != nil {
+	switch {
+	case sc.Faults != nil:
 		p, err := sc.Faults(seed, prefix)
 		if err != nil {
 			return Report{}, err
 		}
 		fp = p
-		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
-	} else if len(sc.Nodes) > 0 {
+	case len(sc.Nodes) > 0:
 		pn, err := NewPerNodeFaults(sc.Nodes, seed, prefix)
 		if err != nil {
 			return Report{}, err
 		}
 		fp = pn
-		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
-	} else {
-		stream := rngx.NewStream(seed, prefix+"/exec")
-		fp = NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, stream)
-		// Child derivation does not consume stream state, so the fault
-		// process is unchanged by enabling partial checks.
-		sampledRNG = stream.Child("partial-positions")
+	default:
+		return sc.runAggregate(rngx.NewStream(seed, prefix+"/exec"), sizes, rec)
 	}
+	return sc.assemble(fp, rngx.NewStream(seed, prefix+"/partial-positions"), sizes, rec)
+}
 
-	var tier Tier
+// runAggregate runs the scenario on the aggregate fault process over
+// stream. Child derivation does not consume stream state, so the fault
+// process is unchanged by enabling partial checks.
+func (sc Scenario) runAggregate(stream *rngx.Stream, sizes []float64, rec Recorder) (Report, error) {
+	fp := NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, stream)
+	return sc.assemble(fp, stream.Child("partial-positions"), sizes, rec)
+}
+
+// assemble builds the App for one run from the scenario's policies and
+// executes it: the one place a fault process, tier, recorder and
+// verification discipline are put together.
+func (sc Scenario) assemble(fp FaultProcess, sampledRNG interface{ Intn(int) int }, sizes []float64, rec Recorder) (Report, error) {
 	if sizes == nil {
 		sizes = sc.patternSizes()
 	}
+	var tier Tier
 	if sc.TwoLevel != nil {
 		tier = NewTwoLevel(*sc.TwoLevel, sc.Costs.R, int(sc.TotalWork/sc.Plan.W))
 	} else {
-		tier = NewSingleLevel(sc.Costs.C, sc.Costs.R, 1)
+		tier = NewSingleLevel(sc.Costs.C, sc.Costs.R)
 	}
 
 	var sampled *detect.SampledVerifier
@@ -194,7 +219,7 @@ func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report
 		Sizes:            sizes,
 		Faults:           fp,
 		Tier:             tier,
-		Recorder:         NewMeterRecorder(sc.Model),
+		Recorder:         rec,
 		Detector:         sc.Detector,
 		Trace:            sc.Trace,
 		Obs:              sc.Obs,

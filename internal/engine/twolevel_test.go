@@ -1,10 +1,9 @@
-package sim
+package engine
 
 import (
 	"math"
 	"testing"
 
-	"respeed/internal/energy"
 	"respeed/internal/rngx"
 	"respeed/internal/workload"
 )
@@ -17,23 +16,25 @@ func twoLevelConfig(lambdaS, lambdaF float64, k int) TwoLevelConfig {
 		DiskC:     300,
 		DiskR:     300,
 		DiskEvery: k,
-		Model:     energy.Model{Kappa: 1550, Pidle: 60, Pio: 5.23},
+		Model:     testModel(),
 		TotalWork: 1000, // 20 patterns
 	}
 }
 
 func twoLevelRunner() *Runner { return FromWorkload(workload.NewHeat(128, 0.25)) }
 
+// runTwoLevel runs cfg once with faults drawn from the stream (seed, name).
+func runTwoLevel(t *testing.T, cfg TwoLevelConfig, seed uint64, name string) TwoLevelReport {
+	t.Helper()
+	rep, err := cfg.Run(twoLevelRunner(), rngx.NewStream(seed, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestTwoLevelErrorFree(t *testing.T) {
-	cfg := twoLevelConfig(0, 0, 4)
-	s, err := NewTwoLevelSim(cfg, twoLevelRunner(), rngx.NewStream(1, "tl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTwoLevel(t, twoLevelConfig(0, 0, 4), 1, "tl")
 	if rep.Patterns != 20 || rep.Executions != 20 {
 		t.Errorf("patterns/executions %d/%d", rep.Patterns, rep.Executions)
 	}
@@ -55,30 +56,14 @@ func TestTwoLevelErrorFree(t *testing.T) {
 func TestTwoLevelFinalPatternAlwaysOnDisk(t *testing.T) {
 	// With k=7 and 20 patterns, scheduled disk checkpoints land at 6 and
 	// 13; the final pattern 19 gets one regardless → 3 total.
-	cfg := twoLevelConfig(0, 0, 7)
-	s, err := NewTwoLevelSim(cfg, twoLevelRunner(), rngx.NewStream(2, "tl-final"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTwoLevel(t, twoLevelConfig(0, 0, 7), 2, "tl-final")
 	if rep.DiskCommits != 3 {
 		t.Errorf("disk commits %d, want 3", rep.DiskCommits)
 	}
 }
 
 func TestTwoLevelSilentUsesMemoryLevel(t *testing.T) {
-	cfg := twoLevelConfig(3e-3, 0, 4)
-	s, err := NewTwoLevelSim(cfg, twoLevelRunner(), rngx.NewStream(3, "tl-silent"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTwoLevel(t, twoLevelConfig(3e-3, 0, 4), 3, "tl-silent")
 	if rep.SilentErrors == 0 {
 		t.Fatal("no silent errors sampled")
 	}
@@ -95,14 +80,7 @@ func TestTwoLevelSilentUsesMemoryLevel(t *testing.T) {
 
 func TestTwoLevelFailStopRollsBackToDisk(t *testing.T) {
 	cfg := twoLevelConfig(0, 4e-3, 5)
-	s, err := NewTwoLevelSim(cfg, twoLevelRunner(), rngx.NewStream(4, "tl-fs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTwoLevel(t, cfg, 4, "tl-fs")
 	if rep.FailStops == 0 {
 		t.Fatal("no fail-stops sampled")
 	}
@@ -120,22 +98,8 @@ func TestTwoLevelFailStopRollsBackToDisk(t *testing.T) {
 }
 
 func TestTwoLevelFinalStateClean(t *testing.T) {
-	clean, err := NewTwoLevelSim(twoLevelConfig(0, 0, 4), twoLevelRunner(), rngx.NewStream(5, "tl-clean"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanRep, err := clean.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty, err := NewTwoLevelSim(twoLevelConfig(3e-3, 3e-3, 4), twoLevelRunner(), rngx.NewStream(6, "tl-dirty"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirtyRep, err := dirty.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanRep := runTwoLevel(t, twoLevelConfig(0, 0, 4), 5, "tl-clean")
+	dirtyRep := runTwoLevel(t, twoLevelConfig(3e-3, 3e-3, 4), 6, "tl-dirty")
 	if dirtyRep.SilentErrors == 0 || dirtyRep.FailStops == 0 {
 		t.Fatalf("want both error kinds (got %d silent, %d fail-stop)", dirtyRep.SilentErrors, dirtyRep.FailStops)
 	}
@@ -144,32 +108,6 @@ func TestTwoLevelFinalStateClean(t *testing.T) {
 	}
 	if !(dirtyRep.Makespan > cleanRep.Makespan) {
 		t.Error("errors should lengthen the run")
-	}
-}
-
-func TestTwoLevelKTradeoff(t *testing.T) {
-	// Small k: many expensive disk checkpoints. Large k: long rollbacks.
-	// With frequent crashes, the mean makespan over k must not be
-	// monotone-decreasing through k=1..12 — there is an interior trade-off
-	// (k=1 pays maximal checkpoint cost, k=12 maximal rollback cost).
-	mk := func() *Runner { return FromWorkload(workload.NewStream(9, 8)) }
-	mean := func(k int) float64 {
-		cfg := twoLevelConfig(0, 2e-3, k)
-		est, err := ReplicateTwoLevel(cfg, mk, 7, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Energy.Mean <= 0 || est.Time.StdDev < 0 {
-			t.Fatalf("estimate not aggregated: %+v", est)
-		}
-		return est.Time.Mean
-	}
-	m1, m4, m20 := mean(1), mean(4), mean(20)
-	if !(m4 < m1) {
-		t.Errorf("k=4 (%.0f) should beat k=1 (%.0f): disk checkpoints are expensive", m4, m1)
-	}
-	if !(m4 < m20) {
-		t.Errorf("k=4 (%.0f) should beat k=20 (%.0f): rollbacks are expensive", m4, m20)
 	}
 }
 
@@ -193,10 +131,7 @@ func TestTwoLevelValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative MemC should be rejected")
 	}
-	if _, err := NewTwoLevelSim(good, nil, rngx.NewStream(1, "x")); err == nil {
+	if _, err := good.Run(nil, rngx.NewStream(1, "x")); err == nil {
 		t.Error("nil workload should be rejected")
-	}
-	if _, err := ReplicateTwoLevel(good, twoLevelRunner, 1, 0); err == nil {
-		t.Error("n=0 should be rejected")
 	}
 }

@@ -6,9 +6,9 @@ import (
 
 	"respeed/internal/core"
 	"respeed/internal/energy"
+	"respeed/internal/engine"
 	"respeed/internal/platform"
 	"respeed/internal/rngx"
-	"respeed/internal/sim"
 	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 )
@@ -55,11 +55,11 @@ func runValidateMC(o Options) (Result, error) {
 			return validationRow{}, fmt.Errorf("%s: %w", cfg.Name(), err)
 		}
 		b := sol.Best
-		plan := sim.Plan{W: b.W, Sigma1: b.Sigma1, Sigma2: b.Sigma2}
-		costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
+		plan := engine.Plan{W: b.W, Sigma1: b.Sigma1, Sigma2: b.Sigma2}
+		costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
 		model := energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio}
 		rng := rngx.NewStream(o.Seed, "validate/"+cfg.Name())
-		est, err := sim.Replicate(plan, costs, model, rng, o.Replications)
+		est, err := replicatePattern(plan, costs, model, rng, o.Replications)
 		if err != nil {
 			return validationRow{}, err
 		}
@@ -114,11 +114,11 @@ func runValidateCombined(o Options) (Result, error) {
 	}
 	pts := sweep.Map(fractions, o.Workers, func(i int, f float64) (row, error) {
 		cp := p.Split(f)
-		plan := sim.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
-		costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: cp.LambdaS, LambdaF: cp.LambdaF}
+		plan := engine.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
+		costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: cp.LambdaS, LambdaF: cp.LambdaF}
 		model := energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio}
 		rng := rngx.NewStream(o.Seed, fmt.Sprintf("validate-combined/%g", f))
-		est, err := sim.Replicate(plan, costs, model, rng, o.Replications)
+		est, err := replicatePattern(plan, costs, model, rng, o.Replications)
 		if err != nil {
 			return row{}, err
 		}

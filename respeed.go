@@ -45,7 +45,6 @@ import (
 	"respeed/internal/rngx"
 	"respeed/internal/schedule"
 	"respeed/internal/serve"
-	"respeed/internal/sim"
 	"respeed/internal/spec"
 	"respeed/internal/trace"
 	"respeed/internal/workload"
@@ -71,11 +70,12 @@ type (
 	// PowerModel prices energy.
 	PowerModel = energy.Model
 	// Plan, Costs, Estimate, ExecConfig and ExecReport drive simulation.
-	Plan       = sim.Plan
-	Costs      = sim.Costs
-	Estimate   = sim.Estimate
-	ExecConfig = sim.ExecConfig
-	ExecReport = sim.ExecReport
+	// ExecConfig is the engine's Scenario and ExecReport its Report.
+	Plan       = engine.Plan
+	Costs      = engine.Costs
+	Estimate   = engine.Estimate
+	ExecConfig = engine.Scenario
+	ExecReport = engine.Report
 	// Workload is a checkpointable divisible-load kernel.
 	Workload = workload.Workload
 	// Trace records simulated schedules.
@@ -168,20 +168,27 @@ func PowerModelFor(cfg Config) PowerModel {
 // The run is deterministic in seed.
 func SimulatePatterns(cfg Config, plan Plan, n int, seed uint64) (Estimate, error) {
 	p := core.FromConfig(cfg)
-	costs := Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
-	return sim.Replicate(plan, costs, PowerModelFor(cfg), rngx.NewStream(seed, "respeed/simulate"), n)
+	eng, err := engine.NewPatternEngine(engine.PatternConfig{
+		Plan:     plan,
+		Costs:    Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda},
+		Faults:   engine.NewAggregateFaults(p.Lambda, 0, rngx.NewStream(seed, "respeed/simulate")),
+		Recorder: engine.NewSumRecorder(PowerModelFor(cfg)),
+	})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return engine.ReplicatePattern(eng, plan.W, n)
 }
 
 // RunWorkload executes a real state-carrying workload to completion under
 // the verified-checkpoint protocol with injected faults, and reports
 // makespan, energy, error/detection counts and the final state digest.
-// The run is deterministic in seed.
+// The run is deterministic in seed: faults draw from the stream
+// "respeed/exec". w replaces cfg.NewWorkload, and cfg must use the
+// aggregate error rates of cfg.Costs (RunScenario runs Nodes and Faults).
 func RunWorkload(cfg ExecConfig, w Workload, seed uint64) (ExecReport, error) {
-	e, err := sim.NewExecSim(cfg, sim.FromWorkload(w), rngx.NewStream(seed, "respeed/exec"))
-	if err != nil {
-		return ExecReport{}, err
-	}
-	return e.Run()
+	cfg.NewWorkload = func() *engine.Runner { return engine.FromWorkload(w) }
+	return cfg.RunStream(rngx.NewStream(seed, "respeed/exec"))
 }
 
 // NewHeatWorkload, NewStreamWorkload and NewMatVecWorkload construct the
@@ -238,7 +245,7 @@ func SimulatePatternsParallel(cfg Config, plan Plan, n int, seed uint64, workers
 func SimulatePatternsParallelCtx(ctx context.Context, cfg Config, plan Plan, n int, seed uint64, workers int) (Estimate, error) {
 	p := core.FromConfig(cfg)
 	costs := Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
-	return sim.ReplicateParallelCtx(ctx, plan, costs, PowerModelFor(cfg), seed, n, workers)
+	return engine.ReplicatePatternParallelCtx(ctx, plan, costs, PowerModelFor(cfg), seed, n, workers)
 }
 
 // SolveCombined solves the BiCrit problem numerically under both
@@ -435,7 +442,7 @@ func DebugHandler() http.Handler { return obs.DebugHandler() }
 
 // PartialExec configures intermediate partial verifications in the
 // full-stack simulator (the executable counterpart of PartialPattern).
-type PartialExec = sim.PartialExec
+type PartialExec = engine.Partial
 
 // GanttTrace renders a recorded schedule as an ASCII timeline, one row
 // per pattern attempt — the textual Figure 1.
@@ -449,8 +456,8 @@ type TraceEvent = trace.Event
 // TwoLevelConfig and TwoLevelReport expose the two-level (memory+disk)
 // checkpointing simulator; RunTwoLevel executes one application under it.
 type (
-	TwoLevelConfig = sim.TwoLevelConfig
-	TwoLevelReport = sim.TwoLevelReport
+	TwoLevelConfig = engine.TwoLevelConfig
+	TwoLevelReport = engine.TwoLevelReport
 )
 
 // RunTwoLevel executes a workload under two-level checkpointing:
@@ -458,11 +465,7 @@ type (
 // DiskEvery patterns absorb fail-stop crashes (which wipe memory and
 // roll back up to DiskEvery−1 patterns).
 func RunTwoLevel(cfg TwoLevelConfig, w Workload, seed uint64) (TwoLevelReport, error) {
-	s, err := sim.NewTwoLevelSim(cfg, sim.FromWorkload(w), rngx.NewStream(seed, "respeed/twolevel"))
-	if err != nil {
-		return TwoLevelReport{}, err
-	}
-	return s.Run()
+	return cfg.Run(engine.FromWorkload(w), rngx.NewStream(seed, "respeed/twolevel"))
 }
 
 // Scenario is the unified engine composition: any combination of a
@@ -496,7 +499,7 @@ func UniformScenarioNodes(n int, totalSilentRate, totalFailStopRate float64) []C
 // The run is deterministic in seed.
 func RunScenario(sc Scenario, mk func() Workload, seed uint64) (ScenarioReport, error) {
 	if mk != nil {
-		sc.NewWorkload = func() *sim.Runner { return sim.FromWorkload(mk()) }
+		sc.NewWorkload = func() *engine.Runner { return engine.FromWorkload(mk()) }
 	}
 	return sc.Run(seed)
 }
@@ -514,7 +517,7 @@ func ReplicateScenario(sc Scenario, mk func() Workload, seed uint64, n, workers 
 // returned.
 func ReplicateScenarioCtx(ctx context.Context, sc Scenario, mk func() Workload, seed uint64, n, workers int) (Estimate, error) {
 	if mk != nil {
-		sc.NewWorkload = func() *sim.Runner { return sim.FromWorkload(mk()) }
+		sc.NewWorkload = func() *engine.Runner { return engine.FromWorkload(mk()) }
 	}
 	return engine.ReplicateScenarioCtx(ctx, sc, seed, n, workers)
 }
