@@ -245,15 +245,30 @@ func TestScenarioDigestInvariant(t *testing.T) {
 	}
 }
 
-// TestReplicateWorkers pins the pool-size clamps.
+// TestReplicateWorkers pins the pool size for requests that need no clamp
+// below the chunk count, and the GOMAXPROCS default.
 func TestReplicateWorkers(t *testing.T) {
 	cases := []struct{ workers, chunks, want int }{
 		{5, 64, 5},                              // fewer workers than chunks: untouched
 		{100, 64, 64},                           // many workers, fewer chunks: clamp to chunks
-		{64, 64, 64},                            // exact fit
-		{1000, 1, 1},                            // n=1 degenerates to a single worker
 		{0, 64, min(64, runtime.GOMAXPROCS(0))}, // default is GOMAXPROCS
-		{0, 3, min(3, runtime.GOMAXPROCS(0))},   // ... still clamped
+	}
+	for _, c := range cases {
+		if got := ReplicateWorkers(c.workers, c.chunks); got != c.want {
+			t.Errorf("ReplicateWorkers(%d, %d) = %d, want %d", c.workers, c.chunks, got, c.want)
+		}
+	}
+}
+
+// TestReplicateWorkersClamp pins the clamp to the chunk count: a large
+// request on a small n must not start idle goroutines.
+func TestReplicateWorkersClamp(t *testing.T) {
+	cases := []struct{ workers, chunks, want int }{
+		{1000, 5, 5},                          // many workers, few chunks: clamp to chunks
+		{4, 64, 4},                            // fewer workers than chunks: untouched
+		{64, 64, 64},                          // exact fit
+		{1000, 1, 1},                          // n=1 degenerates to a single worker
+		{0, 3, min(3, runtime.GOMAXPROCS(0))}, // default is GOMAXPROCS, still clamped
 	}
 	for _, c := range cases {
 		if got := ReplicateWorkers(c.workers, c.chunks); got != c.want {
